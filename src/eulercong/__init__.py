@@ -58,14 +58,12 @@ from .polynomial import (
     taylor_shift,
 )
 from .series import (
-    PolySeries,
     Series,
-    exp_series,
     expand_quotient,
     series_t_divide,
 )
 from .shift import (
-    ShiftOperator,
+    apply_shift,
     eulerian_operator,
     linial_charpoly_mean_shift,
     linial_charpoly_worpitzky,
@@ -81,9 +79,8 @@ __all__ = [
     "EquivalenceAudit",
     "EulerianTriangle",
     "Poly",
-    "PolySeries",
     "Series",
-    "ShiftOperator",
+    "apply_shift",
     "bernoulli_number",
     "bernoulli_number_from_eulerian",
     "bernoulli_poly",
@@ -102,7 +99,6 @@ __all__ = [
     "eulerian_poly",
     "eulerian_triangle",
     "even_degree_strengthening",
-    "exp_series",
     "expand_quotient",
     "format_poly",
     "linial_charpoly_mean_shift",

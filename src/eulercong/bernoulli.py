@@ -20,8 +20,8 @@ from math import factorial
 
 from .eulerian import eulerian_at_minus_one, eulerian_poly
 from .polynomial import Poly, binom_poly
-from .series import PolySeries, series_t_divide
-from .shift import ShiftOperator
+from .series import Series, series_t_divide
+from .shift import apply_shift
 
 
 @lru_cache(maxsize=None)
@@ -29,11 +29,11 @@ def bernoulli_poly(ell: int) -> Poly:
     """B_ell(x), monic of degree ell, from the generating-function division."""
     if ell < 0:
         raise ValueError("degree must be >= 0")
-    num = PolySeries(
+    num = Series(
         tuple(Poly.monomial(n) / factorial(n) for n in range(ell + 1)), ell
     )
     # (exp(t) - 1)/t has coefficient 1/(n+1)! at t^n.
-    den = PolySeries(
+    den = Series(
         tuple(Poly((Fraction(1, factorial(n + 1)),)) for n in range(ell + 1)), ell
     )
     quotient = series_t_divide(num, den)
@@ -75,27 +75,19 @@ def bernoulli_shift_identity(ell: int) -> tuple[bool, Poly, Poly]:
         raise ValueError("needs ell >= 1")
     b = bernoulli_poly(ell + 1)
     left = b - b(0)
-    op = ShiftOperator(eulerian_poly(ell))
-    right = op.apply(binom_poly(ell, ell + 1)) * (ell + 1)
+    right = apply_shift(eulerian_poly(ell), binom_poly(ell, ell + 1)) * (ell + 1)
     return left == right, left, right
 
 
 def zeta_negative(ell: int) -> Fraction:
-    """zeta(-ell) for ell >= 1 as an exact rational.
+    """zeta(-ell) for ell >= 1 as an exact rational, -B_{ell+1}(0)/(ell+1).
 
-    Computed as -B_{ell+1}(0)/(ell+1) and cross-checked against the
-    Eulerian route A_ell(-1) / (2^{ell+1} (2^{ell+1} - 1)); the two must
-    agree exactly.
+    The audit checks it against the Eulerian route
+    A_ell(-1) / (2^{ell+1} (2^{ell+1} - 1)).
     """
     if ell < 1:
         raise ValueError("needs ell >= 1")
-    via_bernoulli = -bernoulli_number(ell + 1) / (ell + 1)
-    via_eulerian = eulerian_at_minus_one(ell) / (2 ** (ell + 1) * (2 ** (ell + 1) - 1))
-    if via_bernoulli != via_eulerian:
-        raise ArithmeticError(
-            f"zeta(-{ell}) routes disagree: {via_bernoulli} vs {via_eulerian}"
-        )
-    return via_bernoulli
+    return -bernoulli_number(ell + 1) / (ell + 1)
 
 
 def bernoulli_table(ell: int) -> list[Poly]:

@@ -4,8 +4,9 @@ Subcommands: eulerian, bernoulli, verify, solve, linial, worpitzky, audit.
 All numeric output is exact: rationals are rendered as "p/q" strings and
 polynomials in the canonical space-separated coefficient form, lowest degree
 first.  Exit code 0 means every requested verdict was true, 1 means some
-verdict failed, 2 means a usage error.  Output is byte-deterministic for a
-fixed invocation and seed.
+verdict failed, 2 means a usage error, 3 means an internal error (the
+traceback goes to stderr).  Output is byte-deterministic for a fixed
+invocation and seed.
 """
 
 from __future__ import annotations
@@ -22,25 +23,17 @@ from .polynomial import format_poly, parse_poly, poly_text
 from .shift import linial_charpoly_mean_shift, linial_charpoly_worpitzky, worpitzky_check
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _int_at_least(low: int):
+    """Argument type: an integer >= low."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _at_least_two(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be >= 2")
-    return value
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
 def _json_dumps(payload) -> str:
@@ -221,64 +214,67 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eulerian", help="Eulerian polynomial and triangle")
-    p.add_argument("--ell", type=_nonneg, required=True)
+    p.add_argument("--ell", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.set_defaults(func=cmd_eulerian)
 
     p = sub.add_parser("bernoulli", help="Bernoulli polynomials and numbers")
-    p.add_argument("--ell", type=_nonneg, required=True)
+    p.add_argument("--ell", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser("verify", help="check the congruence for f (default Eulerian)")
-    p.add_argument("--ell", type=_positive, required=True)
-    p.add_argument("--m", type=_at_least_two, required=True)
+    p.add_argument("--ell", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(2), required=True)
     p.add_argument("--f", help='coefficients "p/q ..." lowest degree first')
     p.add_argument("--format", choices=("plain", "json"), default="json")
+    p.set_defaults(func=lambda args: cmd_verify(args, parser))
 
     p = sub.add_parser("solve", help="recover the polynomial from the congruence")
-    p.add_argument("--ell", type=_positive, required=True)
-    p.add_argument("--m", type=_at_least_two, required=True)
+    p.add_argument("--ell", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(2), required=True)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("linial", help="Linial characteristic polynomial")
-    p.add_argument("--ell", type=_positive, required=True)
-    p.add_argument("--m", type=_positive, required=True)
+    p.add_argument("--ell", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--both", action="store_true", help="compute both routes and compare")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
+    p.set_defaults(func=cmd_linial)
 
     p = sub.add_parser("worpitzky", help="check the operator Worpitzky identity")
-    p.add_argument("--ell", type=_positive, required=True)
+    p.add_argument("--ell", type=_int_at_least(1), required=True)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
+    p.set_defaults(func=cmd_worpitzky)
 
     p = sub.add_parser("audit", help="run the full invariant battery")
-    p.add_argument("--ell", type=_positive, default=6, help="largest degree (default 6)")
-    p.add_argument("--m", type=_positive, default=4, help="largest modulus parameter (default 4)")
+    p.add_argument("--ell", type=_int_at_least(1), default=6, help="largest degree (default 6)")
+    p.add_argument("--m", type=_int_at_least(1), default=4, help="largest modulus parameter (default 4)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--order", type=_positive, default=None, help="series truncation override")
+    p.add_argument("--order", type=_int_at_least(1), default=None, help="series truncation override")
     p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.set_defaults(func=cmd_audit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eulerian":
-        return cmd_eulerian(args)
-    if args.command == "bernoulli":
-        return cmd_bernoulli(args)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    if args.command == "solve":
-        return cmd_solve(args)
-    if args.command == "linial":
-        return cmd_linial(args)
-    if args.command == "worpitzky":
-        return cmd_worpitzky(args)
-    if args.command == "audit":
-        return cmd_audit(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    # Exact output may need more digits than Python's default int-to-str cap.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:
-    sys.exit(main())
+    """Console entry point: exit with main's code, or 3 on an internal error."""
+    try:
+        code = main()
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the usual traceback, on stderr
+        code = 3
+    sys.exit(code)

@@ -24,6 +24,8 @@ Scalar = Union[int, Fraction]
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -101,7 +103,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # A constant equals its scalar, so it must hash like it too.
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0]) if self.coeffs else 0
 
     def __add__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):

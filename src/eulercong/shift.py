@@ -1,12 +1,12 @@
 """Polynomials in the shift operator S and the identities they satisfy.
 
 S acts on polynomials f(t) by (S f)(t) = f(t - 1), so (S^k f)(t) = f(t - k).
-An operator here is just a rational polynomial in the symbol S; applying it
-sums shifted copies of the argument, and composing operators multiplies
-their symbols.  This is enough to state the Worpitzky identity in operator
-form, both closed formulas for the characteristic polynomial of the Linial
-hyperplane arrangement, and the divisibility of their difference by
-(S - 1)^(ell+1).
+An operator here is just its symbol, a rational ``Poly`` in S: applying it
+sums shifted copies of the argument, and composing, powering and dividing
+operators are the same operations on their symbols.  This is enough to state
+the Worpitzky identity in operator form, both closed formulas for the
+characteristic polynomial of the Linial hyperplane arrangement, and the
+divisibility of their difference by (S - 1)^(ell+1).
 """
 
 from __future__ import annotations
@@ -18,99 +18,38 @@ from .polynomial import (
     Poly,
     binom_poly,
     compose_monomial,
-    format_poly,
     remainder_mod_power,
     taylor_shift,
 )
 
-class ShiftOperator:
-    """A rational polynomial in the shift symbol S, acting on Poly in t."""
 
-    __slots__ = ("symbol",)
-
-    symbol: Poly
-
-    def __init__(self, symbol=()):
-        if not isinstance(symbol, Poly):
-            symbol = Poly(symbol)
-        object.__setattr__(self, "symbol", symbol)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftOperator is immutable")
-
-    @classmethod
-    def identity(cls) -> ShiftOperator:
-        return cls(Poly.one())
-
-    @classmethod
-    def shift(cls, k: int = 1) -> ShiftOperator:
-        """The pure shift S^k."""
-        return cls(Poly.monomial(k))
-
-    def apply(self, f: Poly) -> Poly:
-        """Apply the operator: sum of c_k * f(t - k) over the symbol terms."""
-        out = Poly()
-        for k, c in enumerate(self.symbol.coeffs):
-            if c == 0:
-                continue
-            out = out + taylor_shift(f, -k) * c
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShiftOperator):
-            return NotImplemented
-        return self.symbol == other.symbol
-
-    def __hash__(self) -> int:
-        return hash(self.symbol)
-
-    def __add__(self, other: ShiftOperator) -> ShiftOperator:
-        if not isinstance(other, ShiftOperator):
-            return NotImplemented
-        return ShiftOperator(self.symbol + other.symbol)
-
-    def __sub__(self, other: ShiftOperator) -> ShiftOperator:
-        if not isinstance(other, ShiftOperator):
-            return NotImplemented
-        return ShiftOperator(self.symbol - other.symbol)
-
-    def __mul__(self, other) -> ShiftOperator:
-        if isinstance(other, ShiftOperator):
-            return ShiftOperator(self.symbol * other.symbol)
-        if isinstance(other, (int, Fraction)):
-            return ShiftOperator(self.symbol * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> ShiftOperator:
-        return ShiftOperator(self.symbol**n)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.symbol.is_zero
-
-    def __repr__(self) -> str:
-        return f"ShiftOperator({format_poly(self.symbol, var='S')!r})"
+def apply_shift(symbol: Poly, f: Poly) -> Poly:
+    """Apply the operator symbol(S) to f: sum of c_k * f(t - k)."""
+    out = Poly()
+    for k, c in enumerate(symbol.coeffs):
+        if not c:
+            continue
+        out = out + taylor_shift(f, -k) * c
+    return out
 
 
-def mean_of_shifts(m: int) -> ShiftOperator:
-    """The averaging operator (1 + S + ... + S^m) / (m + 1)."""
+def mean_of_shifts(m: int) -> Poly:
+    """Symbol of the averaging operator (1 + S + ... + S^m) / (m + 1)."""
     if m < 0:
         raise ValueError("shift window must be >= 0")
-    return ShiftOperator(Poly((Fraction(1, m + 1),) * (m + 1)))
+    return Poly((Fraction(1, m + 1),) * (m + 1))
 
 
-def eulerian_operator(ell: int, step: int = 1) -> ShiftOperator:
-    """A_ell evaluated at S^step, i.e. the Eulerian polynomial in S^step."""
-    return ShiftOperator(compose_monomial(eulerian_poly(ell), step))
+def eulerian_operator(ell: int, step: int = 1) -> Poly:
+    """Symbol A_ell(S^step): the Eulerian polynomial in S^step."""
+    return compose_monomial(eulerian_poly(ell), step)
 
 
 def worpitzky_check(ell: int) -> tuple[bool, Poly]:
     """Verify t^ell == A_ell(S) applied to C(t + ell, ell); return (ok, value)."""
     if ell < 1:
         raise ValueError("needs ell >= 1")
-    value = eulerian_operator(ell).apply(binom_poly(ell, ell))
+    value = apply_shift(eulerian_operator(ell), binom_poly(ell, ell))
     return value == Poly.monomial(ell), value
 
 
@@ -122,8 +61,7 @@ def linial_charpoly_mean_shift(ell: int, m: int) -> Poly:
     """
     if ell < 1 or m < 0:
         raise ValueError("needs ell >= 1 and m >= 0")
-    op = mean_of_shifts(m) ** (ell + 1)
-    return op.apply(Poly.monomial(ell))
+    return apply_shift(mean_of_shifts(m) ** (ell + 1), Poly.monomial(ell))
 
 
 def linial_charpoly_worpitzky(ell: int, m: int) -> Poly:
@@ -133,20 +71,20 @@ def linial_charpoly_worpitzky(ell: int, m: int) -> Poly:
     """
     if ell < 1 or m < 0:
         raise ValueError("needs ell >= 1 and m >= 0")
-    return eulerian_operator(ell, m + 1).apply(binom_poly(ell, ell))
+    return apply_shift(eulerian_operator(ell, m + 1), binom_poly(ell, ell))
 
 
-def operator_divisibility(ell: int, m: int) -> tuple[ShiftOperator, ShiftOperator]:
+def operator_divisibility(ell: int, m: int) -> tuple[Poly, Poly]:
     """Divide the difference of the two Linial operators by (S - 1)^(ell+1).
 
     The operator ((1+S+...+S^m)/(m+1))^(ell+1) A_ell(S) - A_ell(S^(m+1))
     annihilates C(t + ell, ell), hence is divisible by (S - 1)^(ell+1);
-    returns (quotient, remainder) of the symbol division, remainder expected
-    to be the zero operator.
+    returns the (quotient, remainder) symbols, the remainder expected to be
+    zero.
     """
     if ell < 1 or m < 1:
         raise ValueError("needs ell >= 1 and m >= 1")
-    diff = (mean_of_shifts(m) ** (ell + 1) * eulerian_operator(ell)).symbol
-    diff = diff - eulerian_operator(ell, m + 1).symbol
+    diff = mean_of_shifts(m) ** (ell + 1) * eulerian_operator(ell)
+    diff = diff - eulerian_operator(ell, m + 1)
     remainder, quotient = remainder_mod_power(diff, 1, ell + 1)
-    return ShiftOperator(quotient), ShiftOperator(remainder)
+    return quotient, remainder

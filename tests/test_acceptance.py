@@ -33,7 +33,7 @@ from eulercong.eulerian import (
     power_sum_series,
 )
 from eulercong.polynomial import Poly
-from eulercong.series import PolySeries, Series, series_t_divide
+from eulercong.series import Series, series_t_divide
 from eulercong.shift import (
     linial_charpoly_mean_shift,
     linial_charpoly_worpitzky,
@@ -173,7 +173,7 @@ def test_criterion_09_bernoulli_bridges():
     ok = ok and all(bernoulli_shift_identity(ell)[0] for ell in range(1, 11))
     ok = ok and zeta_negative(1) == Fraction(-1, 12)
     ok = ok and zeta_negative(3) == Fraction(1, 120)
-    # second route recomputed here, independently of the library cross-check
+    # second route recomputed here, independently of zeta_negative
     for ell in (1, 3):
         via_eulerian = eulerian_poly(ell)(-1) / (
             2 ** (ell + 1) * (2 ** (ell + 1) - 1)
@@ -193,7 +193,7 @@ def test_criterion_10_egf_truncations():
         Poly((Fraction(2**n, factorial(n)),)) for n in range(1, order + 1)
     ]
     signed = series_t_divide(
-        PolySeries.constant(2, order), PolySeries(den, order)
+        Series.constant(Poly((2,)), order), Series(den, order)
     )
     for ell in range(order + 1):
         value = signed.coefficient(ell).coefficient(0) * factorial(ell)

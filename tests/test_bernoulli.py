@@ -10,8 +10,9 @@ from eulercong.bernoulli import (
     power_sum_via_bernoulli,
     zeta_negative,
 )
+from eulercong.eulerian import eulerian_poly
 from eulercong.polynomial import Poly
-from eulercong.series import PolySeries, series_t_divide
+from eulercong.series import Series, series_t_divide
 
 
 def recurrence_numbers(count):
@@ -97,9 +98,10 @@ def test_zeta_values():
     assert zeta_negative(1) == Fraction(-1, 12)
     assert zeta_negative(2) == 0
     assert zeta_negative(3) == Fraction(1, 120)
-    # the cross-check inside zeta_negative raises on route disagreement
+    # the Eulerian route must agree exactly
     for ell in range(1, 16):
-        zeta_negative(ell)
+        via_eulerian = eulerian_poly(ell)(-1) / (2 ** (ell + 1) * (2 ** (ell + 1) - 1))
+        assert zeta_negative(ell) == via_eulerian
 
 
 def test_split_kernel_identity():
@@ -107,21 +109,21 @@ def test_split_kernel_identity():
     order = 12
 
     def front_over_expm1(front, scale):
-        den = PolySeries(
+        den = Series(
             [
                 Poly((Fraction(scale ** (n + 1), factorial(n + 1)),))
                 for n in range(order + 1)
             ],
             order,
         )
-        return series_t_divide(PolySeries.constant(front, order), den)
+        return series_t_divide(Series.constant(Poly((front,)), order), den)
 
     rhs = front_over_expm1(2, 2) - front_over_expm1(4, 4)
     den = [Poly((2,))] + [
         Poly((Fraction(2**n, factorial(n)),)) for n in range(1, order + 1)
     ]
-    base = series_t_divide(PolySeries.constant(2, order), PolySeries(den, order))
-    lhs = PolySeries((Poly(),) + base.coeffs[:order], order)
+    base = series_t_divide(Series.constant(Poly((2,)), order), Series(den, order))
+    lhs = Series((Poly(),) + base.coeffs[:order], order)
     assert lhs == rhs
 
 

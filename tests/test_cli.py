@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from eulercong import cli
 from eulercong.cli import main
 
 
@@ -175,6 +177,23 @@ def test_audit_corrupted_table_fails():
     assert any("triangle" in r.name for r in failing)
 
 
+def test_audit_compares_the_second_routes(monkeypatch):
+    # A_ell(-1) and zeta(-ell) are computed by one route in the library;
+    # the audit must catch either one drifting from its second route.
+    from eulercong import audit, bernoulli, eulerian
+
+    at_minus_one, zeta = eulerian.eulerian_at_minus_one, bernoulli.zeta_negative
+    monkeypatch.setattr(
+        eulerian, "eulerian_at_minus_one", lambda ell: at_minus_one(ell) + (ell == 3)
+    )
+    monkeypatch.setattr(bernoulli, "zeta_negative", lambda ell: zeta(ell) * (1 + (ell == 3)))
+    results = {r.name: r for r in audit.run_audit(max_ell=3, max_m=2, seed=0)}
+    assert results["eulerian generating function"].detail.startswith("A_3(-1) differs")
+    assert results["zeta negative values"].detail == "zeta(-3) routes disagree"
+    assert not results["eulerian generating function"].passed
+    assert not results["zeta negative values"].passed
+
+
 def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "audit", "--ell", "2", "--m", "3", "--seed", "7")
     second = run_cli(capsys, "audit", "--ell", "2", "--m", "3", "--seed", "7")
@@ -182,3 +201,38 @@ def test_output_is_deterministic(capsys):
     third = run_cli(capsys, "verify", "--ell", "4", "--m", "3")
     fourth = run_cli(capsys, "verify", "--ell", "4", "--m", "3")
     assert third == fourth
+
+
+def test_int_str_limit_lifted_and_restored(capsys):
+    # row 400 of the triangle has entries of about 860 digits
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run_cli(capsys, "eulerian", "--ell", "400", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 400
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_run_maps_exit_codes(monkeypatch, capsys):
+    argv = ["eulercong", "verify", "--ell", "2", "--m", "2", "--f", "0 2 1"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as err:
+        cli.run()
+    assert err.value.code == 1
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("simulated crash")
+
+    monkeypatch.setattr(cli, "cmd_worpitzky", crash)
+    monkeypatch.setattr(sys, "argv", ["eulercong", "worpitzky", "--ell", "2"])
+    with pytest.raises(SystemExit) as err:
+        cli.run()
+    assert err.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError: simulated crash" in captured.err

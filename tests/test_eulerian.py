@@ -13,6 +13,7 @@ from eulercong.eulerian import (
     eulerian_triangle,
     power_sum_series,
     series_coefficient_polynomial,
+    signed_egf_kernel,
 )
 from eulercong.polynomial import Poly
 from eulercong.series import Series
@@ -130,6 +131,10 @@ def test_values_at_minus_one():
     assert eulerian_at_minus_one(3) == 2
     for ell in range(2, 21, 2):
         assert eulerian_at_minus_one(ell) == 0
+    # independent route: n! [t^n] 2/(1 + e^{2t})
+    kernel = signed_egf_kernel(20)
+    for ell in range(21):
+        assert eulerian_at_minus_one(ell) == kernel.coefficient(ell) * factorial(ell)
 
 
 def test_triangle_serialization():

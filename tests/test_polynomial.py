@@ -181,3 +181,16 @@ def test_evaluate():
     p = Poly((1, -2, 1))
     assert p(1) == 0
     assert p(Fraction(1, 2)) == Fraction(1, 4)
+
+
+def test_hash_agrees_with_scalar_equality():
+    assert Poly((3,)) == 3
+    assert len({Poly((3,)), 3}) == 1
+    assert hash(Poly((Fraction(1, 2),))) == hash(Fraction(1, 2))
+    assert hash(Poly()) == 0
+    assert len({Poly(), 0, Fraction(0)}) == 1
+
+
+def test_bool_coefficients_rejected():
+    with pytest.raises(TypeError):
+        Poly((True, False, True))
