@@ -33,9 +33,7 @@ def bernoulli_poly(ell: int) -> Poly:
         tuple(Poly.monomial(n) / factorial(n) for n in range(ell + 1)), ell
     )
     # (exp(t) - 1)/t has coefficient 1/(n+1)! at t^n.
-    den = Series(
-        tuple(Poly((Fraction(1, factorial(n + 1)),)) for n in range(ell + 1)), ell
-    )
+    den = Series(tuple(Fraction(1, factorial(n + 1)) for n in range(ell + 1)), ell)
     quotient = series_t_divide(num, den)
     return quotient.coefficient(ell) * factorial(ell)
 

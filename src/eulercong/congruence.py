@@ -23,16 +23,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import comb, lcm
 
 from .eulerian import eulerian_poly, power_sum_series
-from .polynomial import (
-    Poly,
-    compose_monomial,
-    negate_variable,
-    poly_text,
-    remainder_mod_power,
-)
+from .polynomial import Poly, _shift_ints, compose_monomial, negate_variable, poly_text
 from .series import Series
 
 
@@ -85,23 +80,75 @@ class EquivalenceAudit:
     all_equal: bool
 
 
+def _window_sums(ints: list[int], m: int, times: int) -> list[int]:
+    """ints times (1 + x + ... + x^(m-1))^times, by sliding-window sums."""
+    for _ in range(times):
+        prefix = [0] * m + list(accumulate(ints + [0] * (m - 1)))
+        ints = [hi - lo for lo, hi in zip(prefix, prefix[m:])]
+    return ints
+
+
+def _split_at_one(ints: list[int], k: int) -> tuple[list[int], list[int]]:
+    """Divide by (x - 1) k times; each division is one running sum.
+
+    Returns the first k coefficients of the expansion at x = 1 + u, lowest
+    power of u first, and the quotient by (x - 1)^k in powers of x.
+    """
+    digits = []
+    for _ in range(k):
+        sums = list(accumulate(reversed(ints)))
+        digits.append(sums.pop() if sums else 0)
+        ints = sums[::-1]
+    return digits, ints
+
+
+def _defect_numerators(f: Poly, ell: int, m: int) -> tuple[list[int], int]:
+    """The defect of f as integer numerators over one denominator.
+
+    With F = D*f integral, the numerators are m^(ell+1) F(x^m) - W F, where
+    W = (1 + ... + x^(m-1))^(ell+1), over the denominator D*m^(ell+1).
+    """
+    if m < 1 or ell < 0:
+        raise ValueError("needs ell >= 0 and m >= 1")
+    d = lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (d // c.denominator) for c in f.coeffs]
+    scaled = m ** (ell + 1)
+    window_f = _window_sums(ints, m, ell + 1)
+    out = [0] * max(len(window_f), m * len(ints))
+    for i, c in enumerate(ints):
+        out[m * i] = scaled * c
+    for i, c in enumerate(window_f):
+        out[i] -= c
+    return out, d * scaled
+
+
+def _over(ints: list[int], denominator: int) -> Poly:
+    return Poly(Fraction(n, denominator) for n in ints)
+
+
 def congruence_defect(f: Poly, ell: int, m: int) -> Poly:
     """f(x^m) - ((1 + x + ... + x^(m-1))/m)^(ell+1) * f(x), exactly."""
-    window = Poly((Fraction(1, m),) * m) ** (ell + 1)
-    return compose_monomial(f, m) - window * f
+    return _over(*_defect_numerators(f, ell, m))
 
 
 def congruence_report(f: Poly, ell: int, m: int) -> CongruenceReport:
-    """Full congruence check of f against modulus (x - 1)^(ell + 1)."""
+    """Full congruence check of f against modulus (x - 1)^(ell + 1).
+
+    Dividing the defect numerators by x - 1 ell+1 times gives the quotient
+    and the remainder in powers of x - 1, which is shifted back to x.
+    """
     if ell < 1:
         raise ValueError("needs ell >= 1")
     if m < 2:
         raise ValueError("needs m >= 2")
     if f.degree > ell:
         raise ValueError("f must have degree <= ell")
-    defect = congruence_defect(f, ell, m)
-    remainder, quotient = remainder_mod_power(defect, 1, ell + 1)
-    return CongruenceReport(ell, m, f, defect, remainder, quotient, remainder.is_zero)
+    defect, scale = _defect_numerators(f, ell, m)
+    digits, quotient = _split_at_one(defect, ell + 1)
+    remainder = _over(_shift_ints(digits, -1, 1), scale)
+    return CongruenceReport(
+        ell, m, f, _over(defect, scale), remainder, _over(quotient, scale), remainder.is_zero
+    )
 
 
 def m2_exact_identity(ell: int) -> bool:
@@ -147,9 +194,8 @@ def even_degree_strengthening(ell: int, m: int) -> bool:
         raise ValueError("needs ell >= 1")
     if m < 2:
         raise ValueError("needs m >= 2")
-    defect = congruence_defect(eulerian_poly(ell), ell, m)
-    remainder, _ = remainder_mod_power(defect, 1, ell + 2)
-    return remainder.is_zero
+    defect, _ = _defect_numerators(eulerian_poly(ell), ell, m)
+    return not any(_split_at_one(defect, ell + 2)[0])
 
 
 def polynomiality_check(ell: int, m: int, order: int) -> tuple[bool, Poly]:
@@ -176,8 +222,7 @@ def polynomiality_check(ell: int, m: int, order: int) -> tuple[bool, Poly]:
     for n in range(1, order + 1):
         coeff = Fraction(m * n**ell if n % m == 0 else 0) - n**ell
         inner.append(coeff)
-    window = Poly((1,) * m) ** (ell + 1)
-    product = Series(inner, order) * window
+    product = Series(inner, order) * Poly(_window_sums([1], m, ell + 1))
     bound = (m - 1) * (ell + 1) + m * ell
     tail_clean = all(product.coefficient(n) == 0 for n in range(bound + 1, order + 1))
     poly_part = Poly(product.coeffs[: bound + 1])
@@ -247,23 +292,29 @@ def solve_characterization(ell: int, m: int) -> CharacterizationSolution:
     """Recover the unique monic degree-ell polynomial obeying the congruence.
 
     The defect is linear in f, so the remainder coefficients of the defect
-    of x^ell + a_1 x^(ell-1) + ... + a_ell are affine in the unknowns; the
-    ell+1 equations "remainder == 0" are assembled from the responses of the
-    basis monomials and solved exactly.  The solution is the Eulerian
-    polynomial A_ell, whatever m is chosen.
+    of x^ell + a_1 x^(ell-1) + ... + a_ell, in powers of x - 1, are affine in
+    the unknowns; the ell+1 equations "remainder == 0" are assembled from the
+    responses of the basis monomials and solved exactly.  The solution is the
+    Eulerian polynomial A_ell, whatever m is chosen.
     """
     if ell < 1:
         raise ValueError("needs ell >= 1")
     if m < 2:
         raise ValueError("needs m >= 2")
 
-    def remainder_of(p: Poly) -> list[Fraction]:
-        defect = congruence_defect(p, ell, m)
-        remainder, _ = remainder_mod_power(defect, 1, ell + 1)
-        return [remainder.coefficient(i) for i in range(ell + 1)]
+    # Row i, column k: coefficient of u^i in m^(ell+1) x^(mk) - W x^k at
+    # x = 1 + u, the monomial's defect numerators truncated (x-1)-adically.
+    scaled = m ** (ell + 1)
+    wu, _ = _split_at_one(_window_sums([1], m, ell + 1), ell + 1)
 
-    columns = [remainder_of(Poly.monomial(ell - j)) for j in range(1, ell + 1)]
-    offset = remainder_of(Poly.monomial(ell))
+    def column(k: int) -> list[int]:
+        return [
+            scaled * comb(m * k, i) - sum(wu[j] * comb(k, i - j) for j in range(i + 1))
+            for i in range(ell + 1)
+        ]
+
+    columns = [column(ell - j) for j in range(1, ell + 1)]
+    offset = column(ell)
     rows = [[columns[j][i] for j in range(ell)] for i in range(ell + 1)]
     rhs = [-offset[i] for i in range(ell + 1)]
     unknowns, rank, unique = _fraction_free_solve(rows, rhs)

@@ -15,7 +15,7 @@ polynomial is ``"0"``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -189,22 +189,31 @@ class Poly:
         return format_poly(self)
 
 
+def _shift_ints(ns: list[int], a: int, b: int) -> list[int]:
+    """Integer Horner: the coefficients of sum ns[i] * (b*u + a)^i in u."""
+    acc: list[int] = []
+    for n in reversed(ns):
+        acc = [a * r + b * s for r, s in zip(acc + [0], [0] + acc)]
+        acc[0] += n
+    return acc
+
+
 def taylor_shift(p: Poly, c: Scalar) -> Poly:
     """Return q with q(u) = p(u + c), the expansion of p around -c.
 
-    Horner-style: fold in one coefficient at a time while multiplying the
-    partial result by (u + c).  Exact, O(deg^2) coefficient operations.
+    With c = a/b and D the lcm of p's denominators, p(u + c) equals
+    sum D*p_i*b^(deg-i) * (b*u + a)^i / (D*b^deg): integer Horner on the
+    numerators, then one division per coefficient.  O(deg^2) integer
+    operations.
     """
     c = _as_fraction(c)
-    acc: list[Fraction] = []
-    for a in reversed(p.coeffs):
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, r in enumerate(acc):
-            nxt[i + 1] += r
-            nxt[i] += r * c
-        nxt[0] += a
-        acc = nxt
-    return Poly(acc)
+    if p.is_zero:
+        return p
+    a, b, deg = c.numerator, c.denominator, p.degree
+    d = lcm(*(x.denominator for x in p.coeffs))
+    ns = [x.numerator * (d // x.denominator) * b ** (deg - i) for i, x in enumerate(p.coeffs)]
+    scale = d * b**deg
+    return Poly(Fraction(n, scale) for n in _shift_ints(ns, a, b))
 
 
 def compose_monomial(p: Poly, m: int) -> Poly:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from math import comb, factorial
 
+import pytest
+
 from eulercong.bernoulli import (
     bernoulli_number,
     bernoulli_number_from_eulerian,
@@ -131,3 +133,13 @@ def test_table():
     table = bernoulli_table(4)
     assert len(table) == 5
     assert table[2] == Poly((Fraction(1, 6), -1, 1))
+
+
+def test_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(31):
+        coeffs = sympy.Poly(sympy.bernoulli(n, x), x).all_coeffs()[::-1]
+        expected = Poly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+        assert bernoulli_poly(n) == expected, n
+        assert bernoulli_number(n) == expected(0), n

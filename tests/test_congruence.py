@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from eulercong.congruence import (
     solve_characterization,
 )
 from eulercong.eulerian import eulerian_poly
-from eulercong.polynomial import Poly, negate_variable, poly_text
+from eulercong.cli import main
+from eulercong.polynomial import Poly, negate_variable, parse_poly, poly_text
 
 
 def test_report_for_a2_m2():
@@ -157,3 +159,36 @@ def test_falsification():
                 f = random_monic_perturbation(ell, rng)
                 assert f.is_monic and f.degree == ell and f != eulerian_poly(ell)
                 assert not congruence_report(f, ell, m).holds, (ell, m)
+
+
+def _check_verify_output(out, f, ell, m):
+    # The printed polynomials obey both identities at two rational points.
+    report = json.loads(out)
+    defect, remainder, quotient = (
+        parse_poly(report[key]) for key in ("defect", "remainder", "quotient")
+    )
+    for x in (Fraction(3, 7), Fraction(-5, 2)):
+        window = (sum(x**j for j in range(m)) / m) ** (ell + 1)
+        assert defect(x) == f(x**m) - window * f(x)
+        assert defect(x) == quotient(x) * (x - 1) ** (ell + 1) + remainder(x)
+    return report
+
+
+def test_verify_large_sizes(capsys):
+    ell, m = 80, 6
+    a = eulerian_poly(ell)
+    assert main(["verify", "--ell", str(ell), "--m", str(m)]) == 0
+    report = _check_verify_output(capsys.readouterr().out, a, ell, m)
+    assert report["holds"] and report["remainder"] == "0"
+
+    f = a + Poly([(-1) ** i * (i % 3 + 1) for i in range(ell)])
+    assert main(["verify", "--ell", str(ell), "--m", str(m), "--f", poly_text(f)]) == 1
+    report = _check_verify_output(capsys.readouterr().out, f, ell, m)
+    assert not report["holds"] and report["remainder"] != "0"
+
+
+def test_solve_large_size(capsys):
+    assert main(["solve", "--ell", "20", "--m", "4", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["solution"] == poly_text(eulerian_poly(20))
+    assert report["rank"] == 20 and report["unique"]

@@ -1,7 +1,9 @@
-"""Property tests for the truncated-series and shift-operator layers.
+"""Property tests for the polynomial, series, shift and congruence layers.
 
-They add to the example tests in test_series.py and test_shift.py: the same
-laws, checked on random inputs over both coefficient rings of ``Series``.
+They add to the example tests in the other modules: the ring laws of
+``Poly`` and of ``Series`` over both coefficient rings, the laws of the
+shift operators, and the integer kernels of ``taylor_shift`` and the
+congruence checked against the ``Fraction`` routes in fraction_routes.py.
 """
 
 from fractions import Fraction
@@ -13,7 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulercong.polynomial import Poly
+import fraction_routes as oracle
+from eulercong.congruence import congruence_defect, congruence_report, solve_characterization
+from eulercong.polynomial import Poly, remainder_mod_power, taylor_shift
 from eulercong.series import Series, expand_quotient, series_t_divide
 from eulercong.shift import apply_shift
 
@@ -92,3 +96,59 @@ def test_apply_shift_composes_as_symbol_product(a, b, f):
 @given(k=st.integers(0, 6), f=polys(6), t=fractions)
 def test_apply_shift_monomial_is_pure_shift(k, f, t):
     assert apply_shift(Poly.monomial(k), f)(t) == f(t - k)
+
+
+@SETTINGS
+@given(a=polys(4), b=polys(4), c=polys(4))
+def test_poly_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero
+    assert a * Poly.one() == a
+    assert a + Poly.zero() == a
+
+
+@SETTINGS
+@given(p=polys(8), c=fractions)
+def test_taylor_shift_matches_fraction_horner(p, c):
+    # c ranges over both signs, integral and not.
+    assert taylor_shift(p, c) == oracle.taylor_shift(p, c)
+
+
+@SETTINGS
+@given(p=polys(8), c=fractions)
+def test_taylor_shift_round_trip(p, c):
+    assert taylor_shift(taylor_shift(p, c), -c) == p
+
+
+@SETTINGS
+@given(p=polys(10), c=fractions, k=st.integers(1, 6))
+def test_remainder_mod_power_split(p, c, k):
+    remainder, quotient = remainder_mod_power(p, c, k)
+    assert p == quotient * Poly((-c, 1)) ** k + remainder
+    assert remainder.degree < k
+    assert (remainder, quotient) == oracle.remainder_mod_power(p, c, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), ell=st.integers(1, 16), m=st.integers(2, 7))
+def test_congruence_report_matches_fraction_route(data, ell, m):
+    # Degree -1 (zero) up to ell, so short and zero f are drawn too.
+    f = data.draw(polys(ell))
+    report = congruence_report(f, ell, m)
+    expected = oracle.congruence_report(f, ell, m)
+    assert (report.defect, report.remainder, report.quotient, report.holds) == expected
+    # The defect alone takes f of any degree.
+    g = data.draw(polys(ell + 3))
+    assert congruence_defect(g, ell, m) == oracle.congruence_defect(g, ell, m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ell=st.integers(1, 12), m=st.integers(2, 6))
+def test_solve_matches_defect_columns(ell, m):
+    result = solve_characterization(ell, m)
+    expected = oracle.solve_characterization(ell, m)
+    assert (result.solution, result.system_rank, result.unique) == expected
